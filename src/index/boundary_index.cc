@@ -275,13 +275,8 @@ Result<BoundaryIndex> BoundaryIndex::Build(const core::RuntimeTables& tables,
   const uint64_t max_splits = MaxSplitsFor(doc.size(), opts);
   std::vector<uint64_t> bounds;
   if (max_splits > 0) {
-    bounds = pool->size() > 1
-                 ? parallel::FindTopLevelBoundariesParallel(
-                       doc, static_cast<size_t>(max_splits), pool,
-                       /*scanned_bytes=*/nullptr, opts.use_bitmap_plane)
-                 : parallel::FindTopLevelBoundaries(
-                       doc, static_cast<size_t>(max_splits),
-                       opts.use_bitmap_plane);
+    bounds = parallel::FindTopLevelBoundariesParallel(
+        doc, static_cast<size_t>(max_splits), pool);
   }
 
   // The sharded execution pipeline with the output thrown away: speculate
@@ -326,8 +321,8 @@ Result<BoundaryIndex> BoundaryIndex::Build(const core::RuntimeTables& tables,
     pool->RunAndWait(ne, [&](size_t j) {
       const uint64_t begin = j == 0 ? 0 : idx.entries_[j - 1].offset;
       const uint64_t end = idx.entries_[j].offset;
-      counts[j] = parallel::CountTopLevelStarts(
-          doc, begin, end, j == 0 ? 0 : 1, opts.use_bitmap_plane);
+      counts[j] =
+          parallel::CountTopLevelStarts(doc, begin, end, j == 0 ? 0 : 1);
     });
     uint64_t total = 0;
     for (size_t j = 0; j < ne; ++j) {

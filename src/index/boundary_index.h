@@ -4,15 +4,15 @@
 // byte k requires prefiltering bytes [0, k) first. The static
 // boundary-state analysis (RuntimeTables::boundary_states) plus the
 // speculative wave/verify machinery (parallel::SpeculativeResolver) remove
-// that restriction: one indexing pass runs the region-parallel top-level
-// boundary scan, speculates every inter-boundary segment in a single
-// parallel wave, and verifies the chain exit-vs-entry -- exactly the
-// ShardedRun pipeline with the projected output discarded. What survives
-// is, per boundary, the byte offset, the cumulative projected-output
-// offset, and the verified SessionCheckpoint: provably the serial engine's
-// state at that offset. A session resumed from any entry therefore
-// projects the document's remainder byte-identically to the suffix of a
-// full serial run (see cursor.h), without ever touching the prefix.
+// that restriction: one indexing pass runs the top-level boundary scan,
+// speculates every inter-boundary segment in a single parallel wave, and
+// verifies the chain exit-vs-entry -- exactly the ShardedRun pipeline
+// with the projected output discarded. What survives is, per boundary, the
+// byte offset, the cumulative projected-output offset, and the verified
+// SessionCheckpoint: provably the serial engine's state at that offset. A
+// session resumed from any entry therefore projects the document's
+// remainder byte-identically to the suffix of a full serial run (see
+// cursor.h), without ever touching the prefix.
 //
 // On-disk format (version 2, little-endian, built for mmap-and-go):
 //
@@ -130,11 +130,6 @@ struct BoundaryIndexOptions {
   uint64_t max_entries = 1 << 20;
   /// See parallel::SpeculativeResolver::Options.
   size_t max_candidate_states = 4;
-  /// Routes the index-build boundary scan through a simd::BitmapPlane over
-  /// the document (classify once, bit-walk everywhere). Throughput only;
-  /// the entries are identical either way. Gated additionally on the
-  /// process-wide simd::PlaneEnabled().
-  bool use_bitmap_plane = false;
   /// Rolling-buffer size for the chunked (InputSource) build overload:
   /// peak resident memory of that path is O(chunk_bytes + window), never
   /// O(document). Ignored by the in-memory overload.
@@ -144,9 +139,9 @@ struct BoundaryIndexOptions {
 
 class BoundaryIndex {
  public:
-  /// Builds the index for `doc` against `tables` on `pool`: one
-  /// region-parallel boundary scan plus one speculative verification wave
-  /// over the whole document. Fails with the engine's Status if the
+  /// Builds the index for `doc` against `tables` on `pool`: one boundary
+  /// scan (parallel::FindTopLevelBoundariesParallel) plus one speculative
+  /// verification wave over the whole document. Fails with the engine's Status if the
   /// document does not prefilter cleanly (the checkpoints of a broken run
   /// would be meaningless). Must not be called from a pool thread.
   static Result<BoundaryIndex> Build(const core::RuntimeTables& tables,

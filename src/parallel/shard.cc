@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/strings.h"
-#include "simd/bitmap_plane.h"
 #include "simd/simd.h"
 
 namespace smpx::parallel {
@@ -21,30 +20,18 @@ namespace {
 // ShardedRun detects and repairs by re-running -- correctness never
 // depends on the two scanners agreeing, only throughput does.
 
-/// Structural scan context over one contiguous document. With the plane
-/// (default), a local BitmapPlane bound to the whole doc memoizes every
-/// byte class the scan touches -- the '<' candidate lane, the tag-end and
-/// DOCTYPE any-of lanes, the comment/PI pair lanes -- so each region pass
-/// classifies its windows once instead of per helper call. With the plane
-/// disabled the primitives fall back to the per-call kernels; both paths
-/// enumerate identical positions (the differential suites assert it).
-/// One scanner per scan call: region workers on the pool each build their
-/// own (the plane is not thread-safe).
+/// Structural scan context over one contiguous document: a cached '<'
+/// bitmap iterator for the candidate scan plus per-call kernels for the
+/// tag-end, quote and terminator scans. One scanner per scan call: region
+/// workers on the pool each build their own (the '<' cache is not
+/// thread-safe).
 class StructScanner {
  public:
-  StructScanner(std::string_view doc, bool use_plane)
-      : doc_(doc),
-        use_plane_(use_plane && simd::PlaneEnabled() && !doc.empty()),
-        open_scan_(doc.data(), doc.size(), '<') {
-    if (use_plane_) plane_.Bind(doc.data(), doc.size(), /*origin=*/0);
-  }
+  explicit StructScanner(std::string_view doc)
+      : doc_(doc), open_scan_(doc.data(), doc.size(), '<') {}
 
   /// Next '<' at or after `pos`; doc.size() when none.
-  size_t NextOpen(size_t pos) {
-    if (pos >= doc_.size()) return doc_.size();
-    if (use_plane_) return pos + plane_.FindByte(pos, doc_.size() - pos, '<');
-    return open_scan_.Next(pos);
-  }
+  size_t NextOpen(size_t pos) { return open_scan_.Next(pos); }
 
   /// Position one past the next occurrence of `term` at or after `from`;
   /// doc.size() when absent.
@@ -124,27 +111,20 @@ class StructScanner {
   // exactly on doc.size()).
   size_t FindByteAt(size_t from, unsigned char c) {
     if (from >= doc_.size()) return doc_.size();
-    if (use_plane_) return from + plane_.FindByte(from, doc_.size() - from, c);
     return from + simd::FindByte(doc_.data() + from, doc_.size() - from, c);
   }
   size_t FindAnyAt(size_t from, const simd::ByteSet& set) {
     if (from >= doc_.size()) return doc_.size();
-    if (use_plane_) return from + plane_.FindAny(from, doc_.size() - from, set);
     return from + simd::FindAny(doc_.data() + from, doc_.size() - from, set);
   }
   size_t FindPatternAt(size_t from, std::string_view term) {
     if (from >= doc_.size()) return doc_.size();
-    if (use_plane_) {
-      return from + plane_.FindPattern(from, doc_.size() - from, term);
-    }
     return from +
            simd::FindPattern(doc_.data() + from, doc_.size() - from, term);
   }
 
   std::string_view doc_;
-  const bool use_plane_;
-  simd::MaskScanner open_scan_;  // kernel-path '<' scan (plane off)
-  simd::BitmapPlane plane_;
+  simd::MaskScanner open_scan_;
 };
 
 constexpr uint64_t kNoPos = ~uint64_t{0};
@@ -175,14 +155,14 @@ struct RegionSummary {
 /// an unknown absolute depth. Construct skips use the full document, so a
 /// construct straddling `end` is consumed completely and resume_pos tells
 /// the fix-up how far this region's view actually reached.
-RegionSummary ScanRegion(std::string_view doc, uint64_t begin, uint64_t end,
-                         bool use_plane) {
+RegionSummary ScanRegion(std::string_view doc, uint64_t begin,
+                         uint64_t end) {
   RegionSummary sum;
   sum.first_open.assign(static_cast<size_t>(kMaxRelDepth + 2), kNoPos);
   int64_t depth = 0;
   size_t pos = static_cast<size_t>(begin);
   const size_t stop = static_cast<size_t>(end);
-  StructScanner sc(doc, use_plane);
+  StructScanner sc(doc);
   while (pos < stop) {
     size_t t = sc.NextOpen(pos);
     if (t >= stop) {
@@ -233,11 +213,10 @@ RegionSummary ScanRegion(std::string_view doc, uint64_t begin, uint64_t end,
 /// read -- the early-exit the serial scanner gets for free. `scanned`
 /// accumulates the bytes consumed.
 uint64_t FirstTopLevelOpenAt(std::string_view doc, uint64_t begin,
-                             int64_t depth, uint64_t* scanned,
-                             bool use_plane) {
+                             int64_t depth, uint64_t* scanned) {
   size_t pos = static_cast<size_t>(begin);
   uint64_t found = kNoPos;
-  StructScanner sc(doc, use_plane);
+  StructScanner sc(doc);
   while (pos < doc.size()) {
     size_t t = sc.NextOpen(pos);
     if (t == doc.size()) {
@@ -313,8 +292,7 @@ bool SameRuntimeBehavior(const core::RuntimeTables& t, int a, int b) {
 }  // namespace
 
 std::vector<uint64_t> FindTopLevelBoundaries(std::string_view doc,
-                                             size_t max_splits,
-                                             bool use_plane) {
+                                             size_t max_splits) {
   std::vector<uint64_t> splits;
   if (max_splits == 0 || doc.size() < 2) return splits;
   const size_t stride = doc.size() / (max_splits + 1);
@@ -323,7 +301,7 @@ std::vector<uint64_t> FindTopLevelBoundaries(std::string_view doc,
   size_t pos = 0;
   size_t depth = 0;        // number of currently open elements
   size_t target_idx = 1;   // next split target = target_idx * stride
-  StructScanner sc(doc, use_plane);
+  StructScanner sc(doc);
   while (pos < doc.size() && splits.size() < max_splits) {
     size_t t = sc.NextOpen(pos);
     if (t == doc.size()) break;
@@ -361,13 +339,12 @@ std::vector<uint64_t> FindTopLevelBoundaries(std::string_view doc,
 }
 
 uint64_t CountTopLevelStarts(std::string_view doc, uint64_t begin,
-                             uint64_t end, int64_t depth_at_begin,
-                             bool use_plane) {
+                             uint64_t end, int64_t depth_at_begin) {
   uint64_t count = 0;
   int64_t depth = depth_at_begin;
   size_t pos = static_cast<size_t>(begin);
   const size_t stop = static_cast<size_t>(std::min<uint64_t>(end, doc.size()));
-  StructScanner sc(doc, use_plane);
+  StructScanner sc(doc);
   while (pos < stop) {
     size_t t = sc.NextOpen(pos);
     if (t >= stop) break;
@@ -400,23 +377,37 @@ uint64_t CountTopLevelStarts(std::string_view doc, uint64_t begin,
 
 std::vector<uint64_t> FindTopLevelBoundariesParallel(
     std::string_view doc, size_t max_splits, ThreadPool* pool,
-    uint64_t* scanned_bytes, bool use_plane) {
+    uint64_t* scanned_bytes) {
+  // A one-worker wave degenerates to a sequential whole-document scan, and
+  // every region costs one RegionSummary (~2 KiB) plus one pool task -- a
+  // granularity-1 index build asks for one split per byte. The serial
+  // scanner is strictly better there (it stops at the last chosen
+  // boundary).
+  const uint64_t stride = doc.size() / (max_splits + 1);
+  if (pool->size() > 1 && stride >= kMinParallelStride) {
+    return FindTopLevelBoundariesByRegions(doc, max_splits, pool,
+                                           scanned_bytes);
+  }
+  std::vector<uint64_t> splits = FindTopLevelBoundaries(doc, max_splits);
+  if (scanned_bytes != nullptr) {
+    if (max_splits == 0 || stride == 0) {
+      *scanned_bytes = 0;  // nothing to split; the scan never started
+    } else {
+      *scanned_bytes =
+          splits.size() == max_splits ? splits.back() : doc.size();
+    }
+  }
+  return splits;
+}
+
+std::vector<uint64_t> FindTopLevelBoundariesByRegions(
+    std::string_view doc, size_t max_splits, ThreadPool* pool,
+    uint64_t* scanned_bytes) {
   if (scanned_bytes != nullptr) *scanned_bytes = 0;
   std::vector<uint64_t> splits;
   if (max_splits == 0 || doc.size() < 2) return splits;
   const uint64_t stride = doc.size() / (max_splits + 1);
   if (stride == 0) return splits;
-  if (pool->size() <= 1) {
-    // A one-worker wave degenerates to a sequential whole-document scan;
-    // the serial scanner is strictly better (it stops at the last chosen
-    // boundary).
-    splits = FindTopLevelBoundaries(doc, max_splits, use_plane);
-    if (scanned_bytes != nullptr) {
-      *scanned_bytes =
-          splits.size() == max_splits ? splits.back() : doc.size();
-    }
-    return splits;
-  }
 
   // One region per split target; region j = [j*stride, (j+1)*stride). The
   // interior regions are scanned independently on the pool with relative
@@ -429,9 +420,9 @@ std::vector<uint64_t> FindTopLevelBoundariesParallel(
   auto region_begin = [stride](size_t j) { return stride * j; };
   auto region_end = [stride](size_t j) { return stride * (j + 1); };
   std::vector<RegionSummary> sums(interior);
-  pool->RunAndWait(interior, [&doc, &sums, &region_begin, &region_end,
-                              use_plane](size_t j) {
-    sums[j] = ScanRegion(doc, region_begin(j), region_end(j), use_plane);
+  pool->RunAndWait(interior, [&doc, &sums, &region_begin,
+                              &region_end](size_t j) {
+    sums[j] = ScanRegion(doc, region_begin(j), region_end(j));
   });
   if (scanned_bytes != nullptr) {
     for (size_t j = 0; j < interior; ++j) {
@@ -452,7 +443,7 @@ std::vector<uint64_t> FindTopLevelBoundariesParallel(
     uint64_t e = region_end(j);
     if (pos >= e) continue;
     if (pos > b) {
-      sums[j] = ScanRegion(doc, pos, e, use_plane);
+      sums[j] = ScanRegion(doc, pos, e);
       if (scanned_bytes != nullptr) {
         *scanned_bytes += sums[j].resume_pos - pos;
       }
@@ -480,8 +471,7 @@ std::vector<uint64_t> FindTopLevelBoundariesParallel(
   if (target_idx <= max_splits) {
     uint64_t begin = std::max<uint64_t>(pos, region_begin(interior));
     if (begin < doc.size()) {
-      uint64_t hit =
-          FirstTopLevelOpenAt(doc, begin, depth, scanned_bytes, use_plane);
+      uint64_t hit = FirstTopLevelOpenAt(doc, begin, depth, scanned_bytes);
       if (hit != kNoPos) splits.push_back(hit);
     }
   }
@@ -899,12 +889,7 @@ Status ShardedRun(const core::RuntimeTables& tables, std::string_view doc,
                            : static_cast<size_t>(std::max(1, pool->size()));
   std::vector<uint64_t> bounds;
   if (max_shards > 1) {
-    bounds = pool->size() > 1
-                 ? FindTopLevelBoundariesParallel(doc, max_shards - 1, pool,
-                                                  nullptr,
-                                                  tables.use_bitmap_plane)
-                 : FindTopLevelBoundaries(doc, max_shards - 1,
-                                          tables.use_bitmap_plane);
+    bounds = FindTopLevelBoundariesParallel(doc, max_shards - 1, pool);
   }
 
   SpeculativeResolver::Options ropts;
@@ -1021,12 +1006,7 @@ Status MultiQueryShardedRun(const core::RuntimeTables& tables,
                            : static_cast<size_t>(std::max(1, pool->size()));
   std::vector<uint64_t> bounds;
   if (max_shards > 1) {
-    bounds = pool->size() > 1
-                 ? FindTopLevelBoundariesParallel(doc, max_shards - 1, pool,
-                                                  nullptr,
-                                                  tables.use_bitmap_plane)
-                 : FindTopLevelBoundaries(doc, max_shards - 1,
-                                          tables.use_bitmap_plane);
+    bounds = FindTopLevelBoundariesParallel(doc, max_shards - 1, pool);
   }
 
   SpeculativeResolver::Options ropts;

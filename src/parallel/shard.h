@@ -79,8 +79,8 @@ struct ShardReport {
   /// Bytes prefiltered on the sequential verification path (re-runs, plus
   /// shard 0 in dynamic-fallback mode). The wave itself is perfectly
   /// parallel, so serial_bytes / document size bounds the Amdahl fraction
-  /// of a sharded run (the memchr boundary scan is not counted; it runs
-  /// region-parallel and costs a small constant per byte).
+  /// of a sharded run (the boundary scan is not counted; it costs a small
+  /// constant per byte).
   uint64_t serial_bytes = 0;
   /// Bytes prefiltered inside the parallel wave, including rejected
   /// speculative attempts (total wave work, not just accepted output).
@@ -276,34 +276,44 @@ class SpeculativeResolver {
 /// sections, processing instructions, DOCTYPE internal subsets, and quoted
 /// attribute values, so a candidate never lands mid-tag or inside opaque
 /// markup. Documents with few top-level children simply yield fewer splits
-/// (possibly none). `use_plane` routes the structural scans through a
-/// local simd::BitmapPlane over the document (classify once, bit-walk
-/// everywhere); it changes throughput only, never the boundaries, and is
-/// further gated on the process-wide simd::PlaneEnabled().
+/// (possibly none).
 std::vector<uint64_t> FindTopLevelBoundaries(std::string_view doc,
-                                             size_t max_splits,
-                                             bool use_plane = true);
+                                             size_t max_splits);
 
-/// Region-parallel variant of FindTopLevelBoundaries: each target's region
-/// is scanned concurrently on `pool` (relative depths), then a sequential
-/// fix-up resolves absolute depths and selects the same boundaries the
-/// serial scan would. The tail region past the last split target is not
-/// part of the wave: it is scanned lazily after the fix-up (its absolute
-/// entry depth is then known) and the scan stops at the first top-level
-/// element start, which covers every remaining target -- so, like the
-/// serial scanner, nothing past the last selected boundary is ever read.
-/// A pool of one worker delegates to the serial scan outright. Results are
-/// byte-identical to the serial scanner for well-formed documents whose
-/// element depth at interior region starts stays within the scanner's
-/// relative range (256); outside that -- or on non-well-formed input --
-/// the two scanners may place boundaries differently (both remain safe:
-/// ShardedRun verification never trusts a boundary). `scanned_bytes` (may
-/// be null) receives the approximate number of document bytes the scan
-/// actually consumed, the early-exit observable. Must not be called from
-/// a pool thread.
+/// Smallest target spacing FindTopLevelBoundariesParallel scans as a region
+/// wave. Each region costs one summary of ~2 KiB and one pool task, so
+/// finer spacings (down to one split per byte in a granularity-1 index
+/// build) take the serial scanner instead.
+inline constexpr uint64_t kMinParallelStride = 64 * 1024;
+
+/// FindTopLevelBoundaries on a pool: the region wave below when `pool` has
+/// more than one worker and the target spacing is at least
+/// kMinParallelStride, the serial scan otherwise. `scanned_bytes` (may be
+/// null) receives the approximate number of document bytes the scan
+/// actually consumed, the early-exit observable. Must not be called from a
+/// pool thread.
 std::vector<uint64_t> FindTopLevelBoundariesParallel(
     std::string_view doc, size_t max_splits, ThreadPool* pool,
-    uint64_t* scanned_bytes = nullptr, bool use_plane = true);
+    uint64_t* scanned_bytes = nullptr);
+
+/// The region wave behind FindTopLevelBoundariesParallel, at any spacing:
+/// each target's region is scanned concurrently on `pool` (relative
+/// depths), then a sequential fix-up resolves absolute depths and selects
+/// the same boundaries the serial scan would. The tail region past the
+/// last split target is not part of the wave: it is scanned lazily after
+/// the fix-up (its absolute entry depth is then known) and the scan stops
+/// at the first top-level element start, which covers every remaining
+/// target -- so, like the serial scanner, nothing past the last selected
+/// boundary is ever read. Results are byte-identical to the serial scanner
+/// for well-formed documents whose element depth at interior region starts
+/// stays within the scanner's relative range (256); outside that -- or on
+/// non-well-formed input -- the two scanners may place boundaries
+/// differently (both remain safe: ShardedRun verification never trusts a
+/// boundary). Public so the differential tests can run the wave on small
+/// documents. Must not be called from a pool thread.
+std::vector<uint64_t> FindTopLevelBoundariesByRegions(
+    std::string_view doc, size_t max_splits, ThreadPool* pool,
+    uint64_t* scanned_bytes = nullptr);
 
 /// Counts top-level record starts -- element starts (opening or bachelor
 /// tags) whose parent is the document root -- in doc[begin, end), using
@@ -315,8 +325,7 @@ std::vector<uint64_t> FindTopLevelBoundariesParallel(
 /// per-segment counts over a boundary partition sum exactly. Feeds the
 /// boundary index's record ordinals.
 uint64_t CountTopLevelStarts(std::string_view doc, uint64_t begin,
-                             uint64_t end, int64_t depth_at_begin,
-                             bool use_plane = true);
+                             uint64_t end, int64_t depth_at_begin);
 
 /// Prefilters `doc` by sharding it across `pool`. Output and the merged
 /// `stats` totals are byte-identical to RunEngine over the same document

@@ -308,9 +308,7 @@ Status BuildMatcher(DfaState* state, const core::TableOptions& topts) {
   if (state->matcher == nullptr) {
     return Status::Internal("failed to build matcher for product state");
   }
-  state->matcher->set_skip_mode(topts.disable_matcher_skip_loops
-                                    ? strmatch::SkipLoopMode::kClassic
-                                    : topts.matcher_skip_mode);
+  state->matcher->set_skip_loops(!topts.disable_matcher_skip_loops);
   return Status::Ok();
 }
 
@@ -332,11 +330,6 @@ Result<MultiQuery> MultiQuery::Compile(
     return Status::InvalidArgument(
         "multi-query tables require interned dispatch "
         "(TableOptions::use_map_dispatch must be false)");
-  }
-  if (opts.compile.tables.shared_vocabulary) {
-    return Status::InvalidArgument(
-        "the shared-vocabulary ablation breaks the product construction "
-        "(component keywords must stay 1:1 with transitions)");
   }
 
   MultiQuery mq;

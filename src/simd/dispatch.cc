@@ -28,8 +28,6 @@ const Kernels* TierOrNull(Isa isa) {
 #if defined(SMPX_SIMD_X86)
     case Isa::kSse2:
       return __builtin_cpu_supports("sse2") ? &Sse2Kernels() : nullptr;
-    case Isa::kSse42:
-      return __builtin_cpu_supports("sse4.2") ? &Sse42Kernels() : nullptr;
     case Isa::kAvx2:
       return __builtin_cpu_supports("avx2") ? &Avx2Kernels() : nullptr;
 #endif
@@ -71,7 +69,7 @@ const Kernels& Init() {
       // loudly instead.
       std::fprintf(stderr,
                    "smpx: unrecognized SMPX_FORCE_ISA value \"%s\" "
-                   "(expected scalar|swar|sse2|sse42|avx2|neon)\n",
+                   "(expected scalar|swar|sse2|avx2|neon)\n",
                    force);
       std::abort();
     }
@@ -92,8 +90,6 @@ const char* IsaName(Isa isa) {
       return "swar";
     case Isa::kSse2:
       return "sse2";
-    case Isa::kSse42:
-      return "sse42";
     case Isa::kAvx2:
       return "avx2";
     case Isa::kNeon:
@@ -103,8 +99,8 @@ const char* IsaName(Isa isa) {
 }
 
 bool ParseIsa(std::string_view name, Isa* out) {
-  for (Isa isa : {Isa::kScalar, Isa::kSwar, Isa::kSse2, Isa::kSse42,
-                  Isa::kAvx2, Isa::kNeon}) {
+  for (Isa isa : {Isa::kScalar, Isa::kSwar, Isa::kSse2, Isa::kAvx2,
+                  Isa::kNeon}) {
     if (name == IsaName(isa)) {
       *out = isa;
       return true;
@@ -117,8 +113,8 @@ bool IsaAvailable(Isa isa) { return detail::TierOrNull(isa) != nullptr; }
 
 std::vector<Isa> AvailableIsas() {
   std::vector<Isa> out;
-  for (Isa isa : {Isa::kScalar, Isa::kSwar, Isa::kSse2, Isa::kSse42,
-                  Isa::kAvx2, Isa::kNeon}) {
+  for (Isa isa : {Isa::kScalar, Isa::kSwar, Isa::kSse2, Isa::kAvx2,
+                  Isa::kNeon}) {
     if (IsaAvailable(isa)) out.push_back(isa);
   }
   return out;

@@ -16,7 +16,6 @@ const Kernels& SwarKernels();
 #if defined(__x86_64__) || defined(__i386__) || defined(_M_X64)
 #define SMPX_SIMD_X86 1
 const Kernels& Sse2Kernels();
-const Kernels& Sse42Kernels();
 const Kernels& Avx2Kernels();
 #endif
 

@@ -13,6 +13,8 @@
 //    tampered cursor tokens) all fail closed with a clear Status, never
 //    wrong bytes.
 
+#include <sys/resource.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -450,6 +452,35 @@ TEST(BoundaryIndexTest, CoarseGranularityMatchesFineResumes) {
     EXPECT_EQ(sink.str(),
               serial->substr(static_cast<size_t>(e.out_offset)));
   }
+}
+
+int64_t PeakRssKb() {
+  struct rusage ru {};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<int64_t>(ru.ru_maxrss);  // KiB on Linux
+}
+
+TEST(BoundaryIndexTest, GranularityOneBuildOnAPoolStaysSmall) {
+  // Granularity 1 asks the boundary scan for one split per byte. A region-
+  // parallel scan at that spacing would hold one ~2 KiB region summary per
+  // document byte (~2 GiB here); the pool build must instead take the
+  // serial scanner and match the one-thread build exactly.
+  core::Prefilter pf = CompileMedline();
+  std::string doc = MedlineDoc(1 << 20);
+  BoundaryIndexOptions opts;
+  opts.granularity_bytes = 1;
+  parallel::ThreadPool one(1);
+  auto ref = BoundaryIndex::Build(pf.tables(), doc, &one, opts);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  ASSERT_GT(ref->entries().size(), 100u);
+
+  parallel::ThreadPool four(4);
+  const int64_t before_kb = PeakRssKb();
+  auto idx = BoundaryIndex::Build(pf.tables(), doc, &four, opts);
+  const int64_t grown_kb = PeakRssKb() - before_kb;
+  ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+  EXPECT_EQ(idx->Serialize(), ref->Serialize());
+  EXPECT_LT(grown_kb, 256 << 10) << "peak RSS grew by " << grown_kb << " KiB";
 }
 
 TEST(BoundaryIndexTest, RecordOrdinalsMatchTokenizerTruth) {

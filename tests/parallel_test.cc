@@ -394,8 +394,8 @@ TEST(SharderTest, ParallelBoundariesMatchSerialScan) {
       for (size_t splits : {1u, 2u, 3u, 7u, 16u}) {
         SCOPED_TRACE(splits);
         EXPECT_EQ(
-            parallel::FindTopLevelBoundariesParallel(docs[di], splits,
-                                                     &pool),
+            parallel::FindTopLevelBoundariesByRegions(docs[di], splits,
+                                                      &pool),
             parallel::FindTopLevelBoundaries(docs[di], splits));
       }
     }
@@ -415,7 +415,7 @@ TEST(SharderTest, ParallelScanEarlyExitsPastTheLastBoundary) {
   for (size_t splits : {1u, 2u, 4u}) {
     SCOPED_TRACE(splits);
     uint64_t scanned = 0;
-    std::vector<uint64_t> par = parallel::FindTopLevelBoundariesParallel(
+    std::vector<uint64_t> par = parallel::FindTopLevelBoundariesByRegions(
         doc, splits, &pool, &scanned);
     EXPECT_EQ(par, parallel::FindTopLevelBoundaries(doc, splits));
     ASSERT_EQ(par.size(), splits);  // dense children: every target is met
